@@ -45,22 +45,27 @@
 // -retries, -ckpt and -restartcost override the corresponding plan
 // knobs. A plan's power emergencies clamp the effective cap, so
 // -capdump — which exports the budget timeline alone — cannot combine
-// with fault injection. Fault runs print a per-policy fault summary,
-// and when any job is permanently lost (killed past its retry cap)
-// schedrun exits with status 4, mirroring the exit-3 violation gate.
+// with fault injection. Fault runs print a per-policy fault summary.
 //
 // Observability (internal/telemetry) attaches to a single named policy:
 // -trace writes a Chrome trace-event JSON timeline (open in Perfetto or
 // chrome://tracing), -events the raw decision stream as NDJSON,
 // -metrics the sim-time metrics registry as CSV, and -audit renders the
-// plain-text decision audit ("summary", a job ID, or "all") on stdout.
-// These flags need -policy NAME — a decision stream interleaving
-// several independent schedules would be meaningless — and with
-// -repeat N they record only the final repetition, so profiling runs
-// stay clean. -json dumps the machine-readable results (any policy
-// selection) to a file, or stdout with "-". When any run violated the
-// cap, schedrun exits with status 3 after printing its tables, so CI
-// smoke jobs can assert the zero-violation guarantee.
+// decision stream on stdout through internal/traceq: "summary" for the
+// event counts and ranked block reasons, a job ID for exactly what
+// `traceq why ID` prints on the -events file, or "all" for every job's
+// why followed by the summary. These flags need -policy NAME — a
+// decision stream interleaving several independent schedules would be
+// meaningless — and with -repeat N they record only the final
+// repetition, so profiling runs stay clean. -json dumps the
+// machine-readable results (any policy selection) to a file, or stdout
+// with "-".
+//
+// Exit status: 0 success, 1 I/O or run errors, 2 usage errors (all
+// reported before anything is printed on stdout), 3 when any run
+// violated the cap, 4 when any job was permanently lost (killed past
+// its retry cap); violations take precedence, and both print their
+// tables first.
 //
 // Usage:
 //
@@ -76,14 +81,17 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/capplan"
 	"repro/internal/faults"
@@ -91,182 +99,164 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
+	"repro/internal/traceq"
 	"repro/internal/units"
 )
 
-func main() {
-	jobs := flag.Int("jobs", 64, "number of jobs in the synthetic trace")
-	cap := flag.Float64("cap", 2500, "cluster power cap in watts")
-	ranks := flag.Int("ranks", 64, "cluster size in ranks (ignored when -cluster lists explicit pool sizes)")
-	clusterName := flag.String("cluster", "systemg", "platform: a preset (systemg, dori) or mixed pools like systemg:32,dori:32")
-	capPlan := flag.String("capplan", "", "time-varying cap plan as start:watts windows, e.g. 0:2500,3600:1500,7200:2500 (excludes -cap)")
-	capFile := flag.String("capfile", "", "read the cap plan from a t_s,cap_w CSV file (excludes -cap and -capplan)")
-	capDump := flag.String("capdump", "", "write the active cap plan to this CSV file (requires -capplan or -capfile)")
-	faultSpec := flag.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30 (excludes -faultfile)")
-	faultFile := flag.String("faultfile", "", "read the fault plan from a kind,subject,t0_s,t1_s,value CSV file (excludes -faults)")
-	mtbf := flag.Float64("mtbf", 0, "wildcard mean time between failures in seconds for every pool (needs -mttr)")
-	mttr := flag.Float64("mttr", 0, "wildcard mean time to repair in seconds for every pool (needs -mtbf)")
-	retries := flag.Int("retries", 3, "retry cap: a job killed after this many restarts is permanently lost")
-	ckpt := flag.Float64("ckpt", 0, "checkpoint interval in seconds (0 disables periodic checkpoints)")
-	restartCost := flag.Float64("restartcost", 0, "restart surcharge in seconds added to every resumed attempt")
-	policy := flag.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, or all")
-	backfill := flag.Bool("backfill", false, "wrap every selected policy in EASY backfill reservations")
-	reserve := flag.Int("reserve", 1, "hold backfill reservations for the first K blocked jobs (K>1 implies -backfill)")
-	seed := flag.Int64("seed", 1, "trace and simulation seed")
-	interval := flag.Float64("interval", 0, "governor sampling interval in seconds (0 = the 25ms default; negative is rejected)")
-	edge := flag.Bool("edge", false, "retune on admission/completion edges in addition to the sampling grid")
-	detail := flag.Bool("detail", false, "print per-job tables")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (Perfetto) to this file (needs -policy NAME)")
-	eventsPath := flag.String("events", "", "write the decision event stream as NDJSON to this file (needs -policy NAME)")
-	metricsPath := flag.String("metrics", "", "write sim-time metrics as CSV to this file (needs -policy NAME)")
-	audit := flag.String("audit", "", `print a decision audit: "summary", "all", or a job ID (needs -policy NAME)`)
-	jsonPath := flag.String("json", "", `write machine-readable results as JSON to this file ("-" = stdout)`)
-	verbose := flag.Bool("v", false, "print a one-line host-side summary (wall time, events/s, opcache hit rate, allocations) after each policy run")
-	rollup := flag.Float64("rollup", 0, "aggregate -events into sim-time buckets of this width in seconds: a bounded-memory CSV rollup instead of raw NDJSON")
-	statusAddr := flag.String("status", "", "serve live run status over HTTP on this address (e.g. :8080 or 127.0.0.1:0): JSON at /status.json, Prometheus text at /metrics")
-	repeat := flag.Int("repeat", 1, "run each policy's schedule N times (profiling workload)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the schedule runs to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the schedule runs to this file")
-	flag.Parse()
-	if *repeat < 1 {
-		*repeat = 1
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one schedrun command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	results, err := schedule(args, stdout, stderr)
+	switch {
+	case err == nil:
+		return status(stdout, results)
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != errFlags: // the FlagSet reports its own errors
+		fmt.Fprintln(stderr, err)
 	}
-	if *interval < 0 {
-		fmt.Fprintf(os.Stderr, "-interval %g is negative; pass 0 for the 25 ms default or a positive period\n", *interval)
-		os.Exit(2)
+	if errors.As(err, new(usageError)) {
+		return 2
 	}
-	if *reserve < 1 {
-		fmt.Fprintf(os.Stderr, "-reserve %d must be at least 1\n", *reserve)
-		os.Exit(2)
+	return 1
+}
+
+// usageError is a bad command line: exit status 2.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// errFlags is a command line the FlagSet rejected.
+var errFlags = usageError{errors.New("schedrun: bad flags")}
+
+// status prints a warning for every broken guarantee and maps the
+// results to the exit status: 3 when any run exceeded the cap, else 4
+// when any job was permanently lost to failures, else 0.
+func status(w io.Writer, results []sched.Result) int {
+	code := 0
+	for _, r := range results {
+		if r.CapViolations > 0 {
+			fmt.Fprintf(w, "\nWARNING: %s exceeded the cap in %d of %d samples\n", r.Policy, r.CapViolations, r.Samples)
+			code = 3
+		}
+	}
+	for _, r := range results {
+		if r.JobsLost > 0 {
+			fmt.Fprintf(w, "\nWARNING: %s permanently lost %d of %d jobs to failures\n", r.Policy, r.JobsLost, len(r.Jobs))
+			if code == 0 {
+				code = 4
+			}
+		}
+	}
+	return code
+}
+
+// schedule parses the command line, runs every selected policy and
+// prints the reports; the results feed the exit status.
+func schedule(args []string, stdout, stderr io.Writer) (results []sched.Result, err error) {
+	fs := flag.NewFlagSet("schedrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jobs := fs.Int("jobs", 64, "number of jobs in the synthetic trace")
+	cap := fs.Float64("cap", 2500, "cluster power cap in watts")
+	ranks := fs.Int("ranks", 64, "cluster size in ranks (ignored when -cluster lists explicit pool sizes)")
+	clusterName := fs.String("cluster", "systemg", "platform: a preset (systemg, dori) or mixed pools like systemg:32,dori:32")
+	capPlan := fs.String("capplan", "", "time-varying cap plan as start:watts windows, e.g. 0:2500,3600:1500,7200:2500 (excludes -cap)")
+	capFile := fs.String("capfile", "", "read the cap plan from a t_s,cap_w CSV file (excludes -cap and -capplan)")
+	capDump := fs.String("capdump", "", "write the active cap plan to this CSV file (requires -capplan or -capfile)")
+	faultSpec := fs.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30 (excludes -faultfile)")
+	faultFile := fs.String("faultfile", "", "read the fault plan from a kind,subject,t0_s,t1_s,value CSV file (excludes -faults)")
+	mtbf := fs.Float64("mtbf", 0, "wildcard mean time between failures in seconds for every pool (needs -mttr)")
+	mttr := fs.Float64("mttr", 0, "wildcard mean time to repair in seconds for every pool (needs -mtbf)")
+	retries := fs.Int("retries", 3, "retry cap: a job killed after this many restarts is permanently lost")
+	ckpt := fs.Float64("ckpt", 0, "checkpoint interval in seconds (0 disables periodic checkpoints)")
+	restartCost := fs.Float64("restartcost", 0, "restart surcharge in seconds added to every resumed attempt")
+	policy := fs.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, or all")
+	backfill := fs.Bool("backfill", false, "wrap every selected policy in EASY backfill reservations")
+	reserve := fs.Int("reserve", 1, "hold backfill reservations for the first K blocked jobs (K>1 implies -backfill)")
+	seed := fs.Int64("seed", 1, "trace and simulation seed")
+	interval := fs.Float64("interval", 0, "governor sampling interval in seconds (0 = the 25ms default; negative is rejected)")
+	edge := fs.Bool("edge", false, "retune on admission/completion edges in addition to the sampling grid")
+	detail := fs.Bool("detail", false, "print per-job tables")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON timeline (Perfetto) to this file (needs -policy NAME)")
+	eventsPath := fs.String("events", "", "write the decision event stream as NDJSON to this file (needs -policy NAME)")
+	metricsPath := fs.String("metrics", "", "write sim-time metrics as CSV to this file (needs -policy NAME)")
+	audit := fs.String("audit", "", `print a decision audit: "summary", "all", or a job ID (needs -policy NAME)`)
+	jsonPath := fs.String("json", "", `write machine-readable results as JSON to this file ("-" = stdout)`)
+	verbose := fs.Bool("v", false, "print a one-line host-side summary (wall time, events/s, opcache hit rate, allocations) after each policy run")
+	rollup := fs.Float64("rollup", 0, "aggregate -events into sim-time buckets of this width in seconds: a bounded-memory CSV rollup instead of raw NDJSON")
+	statusAddr := fs.String("status", "", "serve live run status over HTTP on this address (e.g. :8080 or 127.0.0.1:0): JSON at /status.json, Prometheus text at /metrics")
+	repeat := fs.Int("repeat", 1, "run each policy's schedule N times (profiling workload)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the schedule runs to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile taken after the schedule runs to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errFlags
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// Fault knobs given on the command line override the corresponding
+	// plan knobs, so a CSV plan can be rerun with a different retry cap
+	// or checkpoint cadence without editing the file.
+	faultKnobs := set["mtbf"] || set["mttr"] || set["retries"] || set["ckpt"] || set["restartcost"]
+	// The telemetry flags record one schedule's decision stream.
+	telemetryOn := *tracePath != "" || *eventsPath != "" || *metricsPath != "" || *audit != ""
+	auditJob, auditErr := strconv.Atoi(*audit)
+	switch {
+	case *jobs < 0:
+		return nil, usagef("-jobs %d must not be negative", *jobs)
+	case !(*cap > 0):
+		return nil, usagef("-cap %g must be a positive wattage", *cap)
+	case *repeat < 1:
+		return nil, usagef("-repeat %d must be at least 1", *repeat)
+	case !(*interval >= 0):
+		return nil, usagef("-interval %g is negative; pass 0 for the 25 ms default or a positive period", *interval)
+	case *reserve < 1:
+		return nil, usagef("-reserve %d must be at least 1", *reserve)
+	case *capPlan != "" && *capFile != "":
+		return nil, usagef("-capplan and -capfile are mutually exclusive")
+	case set["cap"] && (*capPlan != "" || *capFile != ""):
+		return nil, usagef("-cap cannot combine with a cap plan; put the constant in the plan's first window instead")
+	case *capDump != "" && *capPlan == "" && *capFile == "":
+		return nil, usagef("-capdump needs -capplan or -capfile")
+	case set["mtbf"] != set["mttr"]:
+		return nil, usagef("-mtbf and -mttr must be given together: a failure process without a repair rate (or vice versa) is underspecified")
+	case *faultSpec != "" && *faultFile != "":
+		return nil, usagef("-faults and -faultfile are mutually exclusive")
+	case *faultSpec == "" && *faultFile == "" && faultKnobs && !set["mtbf"]:
+		return nil, usagef("-retries/-ckpt/-restartcost tune a fault plan; give one with -faults, -faultfile or -mtbf/-mttr")
+	case *capDump != "" && (*faultSpec != "" || *faultFile != "" || faultKnobs):
+		return nil, usagef("-capdump exports the budget timeline alone and cannot combine with fault injection: power emergencies reshape the effective cap")
+	case !(*rollup >= 0):
+		return nil, usagef("-rollup %g must not be negative", *rollup)
+	case *rollup > 0 && *eventsPath == "":
+		return nil, usagef("-rollup aggregates the -events stream; give it a destination with -events FILE")
+	case telemetryOn && *policy == "all":
+		return nil, usagef("-trace/-events/-metrics/-audit record a single schedule; select one policy with -policy NAME")
+	case *audit != "" && *audit != "summary" && *audit != "all" && (auditErr != nil || auditJob < 0):
+		return nil, usagef("-audit %q: want \"summary\", \"all\", or a job ID", *audit)
 	}
 
 	var plan *capplan.Plan
-	switch {
-	case *capPlan != "" && *capFile != "":
-		fmt.Fprintln(os.Stderr, "-capplan and -capfile are mutually exclusive")
-		os.Exit(2)
-	case *capPlan != "":
-		p, err := capplan.ParsePlan(*capPlan)
-		exitOn(err)
-		plan = p
-	case *capFile != "":
-		f, err := os.Open(*capFile)
-		exitOn(err)
-		p, err := capplan.ReadCSV(f)
-		f.Close()
-		exitOn(err)
-		plan = p
-	}
-	if plan != nil {
-		capSet := false
-		flag.Visit(func(f *flag.Flag) { capSet = capSet || f.Name == "cap" })
-		if capSet {
-			fmt.Fprintln(os.Stderr, "-cap cannot combine with a cap plan; put the constant in the plan's first window instead")
-			os.Exit(2)
+	if *capPlan != "" {
+		if plan, err = capplan.ParsePlan(*capPlan); err != nil {
+			return nil, usageError{err}
+		}
+	} else if *capFile != "" {
+		if plan, err = readFile(*capFile, capplan.ReadCSV); err != nil {
+			return nil, err
 		}
 	}
-	// Fault knobs given on the command line override the corresponding
-	// plan knobs (flag.Visit distinguishes "explicitly set" from the
-	// default), so a CSV plan can be rerun with a different retry cap or
-	// checkpoint cadence without editing the file.
-	faultKnobs := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "mtbf", "mttr", "retries", "ckpt", "restartcost":
-			faultKnobs[f.Name] = true
-		}
-	})
-	if faultKnobs["mtbf"] != faultKnobs["mttr"] {
-		fmt.Fprintln(os.Stderr, "-mtbf and -mttr must be given together: a failure process without a repair rate (or vice versa) is underspecified")
-		os.Exit(2)
-	}
-	if *mtbf < 0 || *mttr < 0 {
-		fmt.Fprintf(os.Stderr, "-mtbf %g / -mttr %g must not be negative\n", *mtbf, *mttr)
-		os.Exit(2)
-	}
-	if *retries < 0 {
-		fmt.Fprintf(os.Stderr, "-retries %d must be at least 0\n", *retries)
-		os.Exit(2)
-	}
-	if *ckpt < 0 || *restartCost < 0 {
-		fmt.Fprintf(os.Stderr, "-ckpt %g / -restartcost %g must not be negative\n", *ckpt, *restartCost)
-		os.Exit(2)
-	}
-	var fplan *faults.Plan
-	switch {
-	case *faultSpec != "" && *faultFile != "":
-		fmt.Fprintln(os.Stderr, "-faults and -faultfile are mutually exclusive")
-		os.Exit(2)
-	case *faultSpec != "":
-		p, err := faults.ParsePlan(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fplan = p
-	case *faultFile != "":
-		f, err := os.Open(*faultFile)
-		exitOn(err)
-		p, err := faults.ReadCSV(f)
-		f.Close()
-		exitOn(err)
-		fplan = p
-	}
-	if fplan == nil && faultKnobs["mtbf"] {
-		fplan = &faults.Plan{MaxRetries: *retries}
-	}
-	if fplan == nil && len(faultKnobs) > 0 {
-		fmt.Fprintln(os.Stderr, "-retries/-ckpt/-restartcost tune a fault plan; give one with -faults, -faultfile or -mtbf/-mttr")
-		os.Exit(2)
-	}
-	if fplan != nil {
-		if faultKnobs["mtbf"] {
-			// The command-line wildcard replaces a plan's wildcard entry;
-			// exact per-pool rates from the plan still win (RatesFor).
-			rates := fplan.Rates[:0:0]
-			for _, r := range fplan.Rates {
-				if r.Pool != "*" {
-					rates = append(rates, r)
-				}
-			}
-			fplan.Rates = append(rates, faults.PoolRates{Pool: "*", MTBF: units.Seconds(*mtbf), MTTR: units.Seconds(*mttr)})
-		}
-		if faultKnobs["retries"] {
-			fplan.MaxRetries = *retries
-		}
-		if faultKnobs["ckpt"] {
-			fplan.CheckpointEvery = units.Seconds(*ckpt)
-		}
-		if faultKnobs["restartcost"] {
-			fplan.RestartCost = units.Seconds(*restartCost)
-		}
-		if err := fplan.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if *capDump != "" {
-		if plan == nil {
-			fmt.Fprintln(os.Stderr, "-capdump needs -capplan or -capfile")
-			os.Exit(2)
-		}
-		if fplan != nil {
-			fmt.Fprintln(os.Stderr, "-capdump exports the budget timeline alone and cannot combine with fault injection: power emergencies reshape the effective cap")
-			os.Exit(2)
-		}
-		f, err := os.Create(*capDump)
-		exitOn(err)
-		err = plan.WriteCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		exitOn(err)
+	fplan, err := faultPlan(*faultSpec, *faultFile, set, *mtbf, *mttr, *retries, *ckpt, *restartCost)
+	if err != nil {
+		return nil, err
 	}
 
 	platform, err := machine.ParsePlatform(*clusterName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil, usageError{err}
 	}
 	// A multi-pool platform defines the cluster exactly (every pool's
 	// node count); the -ranks default only sizes a bare single preset,
@@ -275,11 +265,8 @@ func main() {
 	// the later pools, so -ranks and multi-pool are mutually exclusive.
 	clusterRanks := *ranks
 	if len(platform.Pools) > 1 {
-		ranksSet := false
-		flag.Visit(func(f *flag.Flag) { ranksSet = ranksSet || f.Name == "ranks" })
-		if ranksSet {
-			fmt.Fprintf(os.Stderr, "-ranks cannot resize a multi-pool platform; size each pool instead, e.g. -cluster systemg:32,dori:32\n")
-			os.Exit(2)
+		if set["ranks"] {
+			return nil, usagef("-ranks cannot resize a multi-pool platform; size each pool instead, e.g. -cluster systemg:32,dori:32")
 		}
 		clusterRanks = 0 // whole platform
 	}
@@ -287,26 +274,16 @@ func main() {
 	var policies []sched.Policy
 	if *policy == "all" {
 		all := sched.Policies()
-		names := make([]string, 0, len(all))
-		for name := range all {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		names := slices.Sorted(maps.Keys(all))
 		// Baseline first so the table reads as baseline vs. contenders.
 		sort.SliceStable(names, func(a, b int) bool { return names[a] == "fifo" && names[b] != "fifo" })
 		for _, name := range names {
 			policies = append(policies, all[name])
 		}
 	} else {
-		name := strings.ToLower(*policy)
-		wrap := strings.HasPrefix(name, "backfill+")
-		p, ok := sched.Policies()[strings.TrimPrefix(name, "backfill+")]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown policy %q (have fifo, ee-max, fair-share, backfill+<name>, all)\n", *policy)
-			os.Exit(2)
-		}
-		if wrap {
-			p = sched.Backfill(p)
+		p, err := sched.PolicyByName(*policy)
+		if err != nil {
+			return nil, usagef("%v; or -policy all", err)
 		}
 		policies = []sched.Policy{p}
 	}
@@ -316,74 +293,94 @@ func main() {
 		}
 	}
 
-	// The telemetry flags record one schedule's decision stream; an
-	// interleaving of several independent schedules would attribute
-	// events to the wrong run, so they demand a single named policy.
-	telemetryOn := *tracePath != "" || *eventsPath != "" || *metricsPath != "" || *audit != ""
-	if telemetryOn && len(policies) > 1 {
-		fmt.Fprintln(os.Stderr, "-trace/-events/-metrics/-audit record a single schedule; select one policy with -policy NAME")
-		os.Exit(2)
-	}
-	if *rollup < 0 {
-		fmt.Fprintf(os.Stderr, "-rollup %g must not be negative\n", *rollup)
-		os.Exit(2)
-	}
-	if *rollup > 0 && *eventsPath == "" {
-		fmt.Fprintln(os.Stderr, "-rollup aggregates the -events stream; give it a destination with -events FILE")
-		os.Exit(2)
-	}
-	auditJob := -1
-	if *audit != "" && *audit != "summary" && *audit != "all" {
-		id, err := strconv.Atoi(*audit)
-		if err != nil || id < 0 {
-			fmt.Fprintf(os.Stderr, "-audit %q: want \"summary\", \"all\", or a job ID\n", *audit)
-			os.Exit(2)
+	// Every output file is created before any work, so a bad path fails
+	// before the first line of output; all are closed on return, and a
+	// failed Close fails the run.
+	out := map[string]*os.File{}
+	defer func() {
+		for _, f := range out {
+			err = errors.Join(err, f.Close())
 		}
-		auditJob = id
+	}()
+	for _, path := range []string{*capDump, *eventsPath, *tracePath, *metricsPath, *cpuprofile, *memprofile} {
+		if path != "" && out[path] == nil {
+			f, err := os.Create(path)
+			if err != nil {
+				return nil, err
+			}
+			out[path] = f
+		}
 	}
-
-	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: *jobs, Seed: *seed})
-
-	shownRanks := clusterRanks
-	if shownRanks == 0 {
-		shownRanks = platform.TotalRanks()
+	if *capDump != "" {
+		if err := plan.WriteCSV(out[*capDump]); err != nil {
+			return nil, err
+		}
 	}
-	if plan != nil {
-		fmt.Printf("trace: %d jobs on %s/%d ranks under cap plan %s (seed %d)\n",
-			*jobs, platform, shownRanks, plan, *seed)
-	} else {
-		fmt.Printf("trace: %d jobs on %s/%d ranks under a %.0f W cap (seed %d)\n",
-			*jobs, platform, shownRanks, *cap, *seed)
+	// Telemetry records only the final repetition of the one selected
+	// policy: repetitions are identical, and the earlier ones exist
+	// purely as a profiling workload that should stay free of sink I/O.
+	var tel *telemetry.Recorder
+	var mem *telemetry.MemorySink
+	if telemetryOn {
+		tel = telemetry.New()
+		switch {
+		case *rollup > 0:
+			rs, err := telemetry.NewRollupSink(out[*eventsPath], units.Seconds(*rollup))
+			if err != nil {
+				return nil, err
+			}
+			tel.AddSink(rs)
+		case *eventsPath != "":
+			tel.AddSink(telemetry.NewNDJSONSink(out[*eventsPath]))
+		}
+		if *tracePath != "" {
+			tel.AddSink(telemetry.NewChromeTraceSink(out[*tracePath]))
+		}
+		if *audit != "" {
+			mem = telemetry.NewMemorySink()
+			tel.AddSink(mem)
+		}
+		if *metricsPath != "" {
+			tel.Metrics().StreamCSV(out[*metricsPath])
+		}
 	}
-	if fplan != nil {
-		fmt.Printf("faults: %s\n", fplan)
-	}
-	fmt.Println()
-
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		exitOn(err)
-		defer f.Close()
-		exitOn(pprof.StartCPUProfile(f))
+		if err := pprof.StartCPUProfile(out[*cpuprofile]); err != nil {
+			return nil, err
+		}
 		defer pprof.StopCPUProfile()
 	}
-
 	// The status server outlives individual runs: each policy run
 	// publishes snapshots under its own label, and the final snapshot of
 	// a finished run stays queryable while later policies execute.
 	var srv *obs.StatusServer
 	if *statusAddr != "" {
-		s, err := obs.ListenStatus(*statusAddr)
-		exitOn(err)
-		srv = s
+		if srv, err = obs.ListenStatus(*statusAddr); err != nil {
+			return nil, err
+		}
 		defer srv.Close()
-		fmt.Printf("status: http://%s (JSON at /status.json, Prometheus at /metrics)\n\n", srv.Addr())
 	}
 
-	var results []sched.Result
+	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: *jobs, Seed: *seed})
+	shownRanks := clusterRanks
+	if shownRanks == 0 {
+		shownRanks = platform.TotalRanks()
+	}
+	budget := fmt.Sprintf("a %.0f W cap", *cap)
+	if plan != nil {
+		budget = "cap plan " + plan.String()
+	}
+	fmt.Fprintf(stdout, "trace: %d jobs on %s/%d ranks under %s (seed %d)\n", *jobs, platform, shownRanks, budget, *seed)
+	if fplan != nil {
+		fmt.Fprintf(stdout, "faults: %s\n", fplan)
+	}
+	fmt.Fprintln(stdout)
+	if srv != nil {
+		fmt.Fprintf(stdout, "status: http://%s (JSON at /status.json, Prometheus at /metrics)\n\n", srv.Addr())
+	}
+
 	for _, pol := range policies {
 		var res sched.Result
-		var mem *telemetry.MemorySink
 		var host *obs.Host
 		for r := 0; r < *repeat; r++ {
 			cfg := sched.Config{
@@ -393,45 +390,16 @@ func main() {
 				Interval:   units.Seconds(*interval),
 				EdgeRetune: *edge,
 				Seed:       *seed,
+				Faults:     fplan,
 			}
 			if plan != nil {
 				cfg.Plan = plan
 			} else {
 				cfg.Cap = units.Watts(*cap)
 			}
-			cfg.Faults = fplan
-			// Telemetry records only the final repetition: repetitions
-			// are identical, and the earlier ones exist purely as a
-			// profiling workload that should stay free of sink I/O.
 			var rec *telemetry.Recorder
-			var telFiles []*os.File
-			if telemetryOn && r == *repeat-1 {
-				rec = telemetry.New()
-				openSink := func(path string) *os.File {
-					f, err := os.Create(path)
-					exitOn(err)
-					telFiles = append(telFiles, f)
-					return f
-				}
-				if *eventsPath != "" {
-					if *rollup > 0 {
-						rs, err := telemetry.NewRollupSink(openSink(*eventsPath), units.Seconds(*rollup))
-						exitOn(err)
-						rec.AddSink(rs)
-					} else {
-						rec.AddSink(telemetry.NewNDJSONSink(openSink(*eventsPath)))
-					}
-				}
-				if *tracePath != "" {
-					rec.AddSink(telemetry.NewChromeTraceSink(openSink(*tracePath)))
-				}
-				if *audit != "" {
-					mem = telemetry.NewMemorySink()
-					rec.AddSink(mem)
-				}
-				if *metricsPath != "" {
-					rec.Metrics().StreamCSV(openSink(*metricsPath))
-				}
+			if r == *repeat-1 {
+				rec = tel
 			}
 			// Host-side observability: a fresh collector per repetition
 			// so phase timers and allocation deltas cover exactly one
@@ -449,116 +417,149 @@ func main() {
 				}
 				rec.AddSink(obs.NewPublisher(srv, pol.Name(), host, rec.Metrics(), 0))
 			}
-			if rec != nil {
-				cfg.Telemetry = rec
-			}
+			cfg.Telemetry = rec
 			s, err := sched.New(cfg)
-			exitOn(err)
-			res, err = s.Run(trace)
-			exitOn(err)
+			if err != nil {
+				return nil, err
+			}
+			if res, err = s.Run(trace); err != nil {
+				return nil, err
+			}
 			if rec != nil {
-				exitOn(rec.Close())
-				exitOn(rec.Err())
-				exitOn(rec.Metrics().Err())
-				for _, f := range telFiles {
-					exitOn(f.Close())
+				if err := errors.Join(rec.Close(), rec.Err(), rec.Metrics().Err()); err != nil {
+					return nil, err
 				}
 			}
 		}
 		results = append(results, res)
 		if *verbose && host != nil {
-			fmt.Printf("host %s: %s\n", res.Policy, host.Summary())
+			fmt.Fprintf(stdout, "host %s: %s\n", res.Policy, host.Summary())
 		}
 		if *detail {
-			fmt.Printf("== %s ==\n%s\n", res.Policy, res.JobTable())
+			fmt.Fprintf(stdout, "== %s ==\n%s\n", res.Policy, res.JobTable())
 		}
 		if mem != nil {
-			a := telemetry.NewAudit(mem.Events())
-			switch {
-			case *audit == "all":
-				for _, id := range a.Jobs() {
-					exitOn(a.JobReport(os.Stdout, id))
-					fmt.Println()
-				}
-				exitOn(a.Summary(os.Stdout))
-			case auditJob >= 0:
-				exitOn(a.JobReport(os.Stdout, auditJob))
-			default: // "summary"
-				exitOn(a.Summary(os.Stdout))
+			if err := writeAudit(stdout, mem.Events(), *audit); err != nil {
+				return nil, err
 			}
-			fmt.Println()
 		}
 	}
 
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		exitOn(err)
 		runtime.GC()
-		exitOn(pprof.WriteHeapProfile(f))
-		f.Close()
+		if err := pprof.WriteHeapProfile(out[*memprofile]); err != nil {
+			return nil, err
+		}
 	}
 
-	fmt.Print(sched.ComparisonTable(results))
+	fmt.Fprint(stdout, sched.ComparisonTable(results))
 	if plan != nil || (fplan != nil && len(fplan.Emergencies) > 0) {
 		for _, r := range results {
-			fmt.Printf("\nbudget windows — %s (cap utilisation %.1f%%):\n%s",
+			fmt.Fprintf(stdout, "\nbudget windows — %s (cap utilisation %.1f%%):\n%s",
 				r.Policy, r.CapUtilisation*100, r.WindowTable())
 		}
 	}
 	if fplan != nil {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, r := range results {
-			fmt.Printf("faults — %s: %d failures, %d repairs, %d kills, %d restarts, %d checkpoints, %d jobs lost, lost work %v, wasted energy %v, availability %.4f\n",
+			fmt.Fprintf(stdout, "faults — %s: %d failures, %d repairs, %d kills, %d restarts, %d checkpoints, %d jobs lost, lost work %v, wasted energy %v, availability %.4f\n",
 				r.Policy, r.Failures, r.Repairs, r.Kills, r.Restarts, r.Checkpoints, r.JobsLost,
 				r.LostWork, r.WastedEnergy, r.Availability)
 		}
 	}
 	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(results, "", "  ")
-		exitOn(err)
-		buf = append(buf, '\n')
-		if *jsonPath == "-" {
-			_, err = os.Stdout.Write(buf)
-		} else {
-			err = os.WriteFile(*jsonPath, buf, 0o644)
-		}
-		exitOn(err)
-	}
-
-	violated := false
-	for _, r := range results {
-		if r.CapViolations > 0 {
-			fmt.Printf("\nWARNING: %s exceeded the cap in %d of %d samples\n", r.Policy, r.CapViolations, r.Samples)
-			violated = true
+		if err := writeJSON(stdout, *jsonPath, results); err != nil {
+			return nil, err
 		}
 	}
-	lost := 0
-	for _, r := range results {
-		if r.JobsLost > 0 {
-			fmt.Printf("\nWARNING: %s permanently lost %d of %d jobs to failures\n", r.Policy, r.JobsLost, len(r.Jobs))
-			lost += r.JobsLost
-		}
-	}
-	if violated || lost > 0 {
-		// Distinct statuses — 3 for cap violations, 4 for jobs lost to
-		// failures (violations take precedence) — alongside the usage (2)
-		// and I/O (1) exits, so CI smoke jobs can assert the
-		// zero-violation and all-jobs-complete guarantees on the status
-		// alone. os.Exit skips the deferred profile flush, so stop it by
-		// hand.
-		if *cpuprofile != "" {
-			pprof.StopCPUProfile()
-		}
-		if violated {
-			os.Exit(3)
-		}
-		os.Exit(4)
-	}
+	return results, nil
 }
 
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// faultPlan assembles the fault plan from -faults or -faultfile and the
+// command-line knobs that override it; nil means no fault injection.
+func faultPlan(spec, file string, set map[string]bool, mtbf, mttr float64, retries int, ckpt, restartCost float64) (fplan *faults.Plan, err error) {
+	switch {
+	case spec != "":
+		if fplan, err = faults.ParsePlan(spec); err != nil {
+			return nil, usageError{err}
+		}
+	case file != "":
+		if fplan, err = readFile(file, faults.ReadCSV); err != nil {
+			return nil, err
+		}
+	case set["mtbf"]:
+		fplan = &faults.Plan{MaxRetries: retries}
+	default:
+		return nil, nil
 	}
+	if set["mtbf"] {
+		// The command-line wildcard replaces a plan's wildcard entry;
+		// exact per-pool rates from the plan still win (RatesFor).
+		fplan.Rates = slices.DeleteFunc(fplan.Rates, func(r faults.PoolRates) bool { return r.Pool == "*" })
+		fplan.Rates = append(fplan.Rates, faults.PoolRates{Pool: "*", MTBF: units.Seconds(mtbf), MTTR: units.Seconds(mttr)})
+	}
+	if set["retries"] {
+		fplan.MaxRetries = retries
+	}
+	if set["ckpt"] {
+		fplan.CheckpointEvery = units.Seconds(ckpt)
+	}
+	if set["restartcost"] {
+		fplan.RestartCost = units.Seconds(restartCost)
+	}
+	if err := fplan.Validate(); err != nil {
+		return nil, usageError{err}
+	}
+	return fplan, nil
+}
+
+// readFile parses the named file with parse.
+func readFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return parse(f)
+}
+
+// writeAudit renders -audit through traceq: the summary, every job's
+// why followed by the summary ("all"), or one job's why.
+func writeAudit(w io.Writer, evs []telemetry.Event, audit string) error {
+	var err error
+	switch audit {
+	case "summary":
+		err = traceq.Summary(w, evs)
+	case "all":
+		for _, id := range traceq.Jobs(evs) {
+			if err := traceq.Why(w, evs, id); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
+		err = traceq.Summary(w, evs)
+	default:
+		id, _ := strconv.Atoi(audit) // validated with the other flags
+		err = traceq.Why(w, evs, id)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w)
+	return err
+}
+
+// writeJSON writes v as indented JSON to path, or to stdout for "-".
+func writeJSON(stdout io.Writer, path string, v any) error {
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	buf = append(buf, '\n')
+	if path == "-" {
+		_, err = stdout.Write(buf)
+		return err
+	}
+	return os.WriteFile(path, buf, 0o644)
 }

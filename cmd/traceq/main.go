@@ -11,7 +11,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -21,8 +24,7 @@ import (
 	"repro/internal/traceq"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: traceq <command> [args]
+const usageText = `usage: traceq <command> [args]
 
 commands:
   why <job> <trace.ndjson>      explain one job: lifecycle, ranked block
@@ -35,65 +37,52 @@ commands:
                                 stream on stdout, stamping Site from the
                                 optional site= label (default: file base
                                 name) on events that carry none
-`)
-	os.Exit(2)
-}
+`
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "traceq: %v\n", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func load(path string) []telemetry.Event {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
+// run executes one traceq command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { fmt.Fprint(stderr, usageText) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	defer f.Close()
-	evs, err := telemetry.DecodeNDJSON(f)
-	if err != nil {
-		fail(fmt.Errorf("%s: %w", path, err))
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format, a...)
+		fs.Usage()
+		return 2
 	}
-	return evs
-}
-
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if fs.NArg() == 0 {
+		return usage("")
 	}
-	switch os.Args[1] {
-	case "why":
-		if len(os.Args) != 4 {
-			usage()
+	cmd, args := fs.Arg(0), fs.Args()[1:]
+	var evs []telemetry.Event
+	var err error
+	switch {
+	case cmd == "why" && len(args) == 2:
+		job, aerr := strconv.Atoi(args[0])
+		if aerr != nil {
+			return usage("traceq: job must be an integer, got %q\n", args[0])
 		}
-		job, err := strconv.Atoi(os.Args[2])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "traceq: job must be an integer, got %q\n", os.Args[2])
-			usage()
+		if evs, err = load(args[1]); err == nil {
+			err = traceq.Why(stdout, evs, job)
 		}
-		if err := traceq.Why(os.Stdout, load(os.Args[3]), job); err != nil {
-			fail(err)
+	case cmd == "critpath" && len(args) == 1:
+		if evs, err = load(args[0]); err == nil {
+			err = traceq.Critpath(stdout, evs)
 		}
-	case "critpath":
-		if len(os.Args) != 3 {
-			usage()
+	case cmd == "windows" && len(args) == 1:
+		if evs, err = load(args[0]); err == nil {
+			err = traceq.Windows(stdout, evs)
 		}
-		if err := traceq.Critpath(os.Stdout, load(os.Args[2])); err != nil {
-			fail(err)
-		}
-	case "windows":
-		if len(os.Args) != 3 {
-			usage()
-		}
-		if err := traceq.Windows(os.Stdout, load(os.Args[2])); err != nil {
-			fail(err)
-		}
-	case "merge":
-		if len(os.Args) < 3 {
-			usage()
-		}
+	case cmd == "merge" && len(args) > 0:
 		var traces []traceq.NamedTrace
-		for _, arg := range os.Args[2:] {
+		for _, arg := range args {
 			site, path := "", arg
 			if i := strings.Index(arg, "="); i > 0 && !strings.Contains(arg[:i], string(os.PathSeparator)) {
 				site, path = arg[:i], arg[i+1:]
@@ -101,13 +90,35 @@ func main() {
 			if site == "" {
 				site = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 			}
-			traces = append(traces, traceq.NamedTrace{Site: site, Events: load(path)})
+			if evs, err = load(path); err != nil {
+				break
+			}
+			traces = append(traces, traceq.NamedTrace{Site: site, Events: evs})
 		}
-		if err := traceq.Merge(os.Stdout, traces); err != nil {
-			fail(err)
+		if err == nil {
+			err = traceq.Merge(stdout, traces)
 		}
+	case cmd == "why" || cmd == "critpath" || cmd == "windows" || cmd == "merge":
+		return usage("")
 	default:
-		fmt.Fprintf(os.Stderr, "traceq: unknown command %q\n", os.Args[1])
-		usage()
+		return usage("traceq: unknown command %q\n", cmd)
 	}
+	if err != nil {
+		fmt.Fprintf(stderr, "traceq: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func load(path string) ([]telemetry.Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	evs, err := telemetry.DecodeNDJSON(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return evs, nil
 }

@@ -1,15 +1,31 @@
-// Trace-analysis walkthrough: from a live schedule to NDJSON to the
-// traceq query engine, all in-process — the offline half of the
-// observability layer.
+// Trace-analysis walkthrough: a schedule narrating every decision it
+// makes, exported three ways, then interrogated offline — the whole
+// observability layer in one run.
 //
-// The pipeline mirrors what `schedrun -events trace.ndjson` followed by
-// `traceq <query> trace.ndjson` does on disk: run a schedule under a
-// demand-response cap squeeze with an NDJSON sink attached, decode the
-// stream back (telemetry.DecodeNDJSON is the format contract's inverse),
-// and interrogate it:
+// internal/telemetry taps the scheduler's decision points (admission
+// attempts with the exact reason a job stayed queued, backfill
+// reservations, governor throttles and boosts, plan breakpoints,
+// profiler cap audits) into one sim-time-stamped event stream, plus a
+// metrics registry sampled on every scheduling edge. A nil recorder
+// costs nothing: every schedule in this repo runs the identical code
+// path with telemetry off. This example attaches all three exporters
+// to a demand-response squeeze, writing into a fresh temp directory:
+//
+//   - trace.json — Chrome trace-event JSON. Open https://ui.perfetto.dev
+//     and drag the file in: per-rank tracks show occupancy and retunes,
+//     per-job tracks wait/run spans, counter tracks queue depth,
+//     headroom, and draw vs cap.
+//   - events.ndjson — the raw stream, one JSON object per line; the
+//     input of cmd/traceq.
+//   - metrics.csv — the registry sampled in sim time.
+//
+// It then decodes events.ndjson (telemetry.DecodeNDJSON is the format
+// contract's inverse) and runs the internal/traceq queries on it, as
+// `traceq <query> events.ndjson` and `schedrun -audit` do:
 //
 //   - why:      one job's lifecycle, ranked block reasons, and the
 //     causal chain of completions that finally unblocked it;
+//   - summary:  event counts per kind and the ranked block reasons;
 //   - critpath: the wait/run dependency chain that set the makespan;
 //   - windows:  the per-cap-window rollup (admissions, energy, peak
 //     power per budget window).
@@ -23,10 +39,10 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"repro/internal/capplan"
 	"repro/internal/machine"
@@ -43,11 +59,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	dir, err := os.MkdirTemp("", "trace-analysis-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	path := func(name string) string { return filepath.Join(dir, name) }
 
-	// The schedule streams its decisions into an in-memory NDJSON log
-	// (on disk this would be schedrun -events trace.ndjson).
-	var ndjson bytes.Buffer
-	rec := telemetry.New(telemetry.NewNDJSONSink(&ndjson))
+	// One recorder, every exporter. Sinks receive each event as it is
+	// emitted, and the metrics registry streams its CSV rows as the
+	// scheduler samples it on each edge.
+	var files []*os.File
+	for _, name := range []string{"trace.json", "events.ndjson", "metrics.csv"} {
+		f, err := os.Create(path(name))
+		if err != nil {
+			log.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	rec := telemetry.New(telemetry.NewChromeTraceSink(files[0]), telemetry.NewNDJSONSink(files[1]))
+	rec.Metrics().StreamCSV(files[2])
+
+	// The traced run: handing the recorder in via Config is the only
+	// line a caller adds to instrument a schedule.
 	s, err := sched.New(sched.Config{
 		Platform:  machine.Homogeneous(machine.SystemG()),
 		Ranks:     64,
@@ -59,20 +92,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 32, Seed: 1})
-	res, err := s.Run(trace)
+	res, err := s.Run(sched.SyntheticTrace(sched.TraceConfig{Jobs: 32, Seed: 1}))
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("schedule: %d jobs, makespan %v, %d NDJSON events\n\n",
-		res.Completed, res.Makespan, bytes.Count(ndjson.Bytes(), []byte{'\n'}))
+	for _, f := range files {
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := rec.Err(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("schedule: %d jobs, makespan %v, %d violations; artefacts in %s\n\n",
+		res.Completed, res.Makespan, res.CapViolations, dir)
 
-	// Decode the stream back — the same parse cmd/traceq applies to a
-	// trace file.
-	evs, err := telemetry.DecodeNDJSON(&ndjson)
+	// Decode the stream back — the same parse cmd/traceq applies.
+	f, err := os.Open(path("events.ndjson"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	evs, err := telemetry.DecodeNDJSON(f)
+	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,17 +129,18 @@ func main() {
 			worst, worstWait = ev.Job, float64(ev.Wait)
 		}
 	}
-
 	fmt.Printf("== traceq why %d ==\n", worst)
 	if err := traceq.Why(os.Stdout, evs, worst); err != nil {
 		log.Fatal(err)
 	}
-
+	fmt.Println("\n== schedrun -audit summary ==")
+	if err := traceq.Summary(os.Stdout, evs); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\n== traceq critpath ==")
 	if err := traceq.Critpath(os.Stdout, evs); err != nil {
 		log.Fatal(err)
 	}
-
 	fmt.Println("\n== traceq windows ==")
 	if err := traceq.Windows(os.Stdout, evs); err != nil {
 		log.Fatal(err)

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/machine"
@@ -332,4 +334,20 @@ func Policies() map[string]Policy {
 		"ee-max":     EEMax(),
 		"fair-share": FairShare(),
 	}
+}
+
+// PolicyByName resolves a policy name, case-insensitively: a registry
+// name from Policies, or "backfill+<name>" for that policy wrapped in
+// Backfill — the form Backfill's Name reports, so PolicyByName(p.Name())
+// round-trips.
+func PolicyByName(name string) (Policy, error) {
+	base, wrap := strings.CutPrefix(strings.ToLower(name), "backfill+")
+	p, ok := Policies()[base]
+	if !ok {
+		return nil, fmt.Errorf("unknown policy %q (have fifo, ee-max, fair-share, or backfill+<name>)", name)
+	}
+	if wrap {
+		p = Backfill(p)
+	}
+	return p, nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -617,5 +618,30 @@ func TestSchedulerSingleUse(t *testing.T) {
 	}
 	if _, err := s.Run(nil); err == nil {
 		t.Fatal("second Run must fail")
+	}
+}
+
+// PolicyByName is the one resolver of policy names: every registry
+// policy and its backfill wrap round-trip through their reported Name,
+// case-insensitively, and anything else is an error naming the input.
+func TestPolicyByName(t *testing.T) {
+	for name, pol := range Policies() {
+		for _, p := range []Policy{pol, Backfill(pol)} {
+			got, err := PolicyByName(p.Name())
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			if got.Name() != p.Name() {
+				t.Errorf("PolicyByName(%q).Name() = %q", p.Name(), got.Name())
+			}
+		}
+		if got, err := PolicyByName(strings.ToUpper("backfill+" + name)); err != nil || got.Name() != "backfill+"+name {
+			t.Errorf("upper-case backfill+%s: got %v, %v", name, got, err)
+		}
+	}
+	for _, bad := range []string{"", "all", "nope", "backfill+", "backfill+nope", "backfill2+ee-max", "backfill"} {
+		if _, err := PolicyByName(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("PolicyByName(%q) error = %v, want one naming the input", bad, err)
+		}
 	}
 }

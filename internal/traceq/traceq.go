@@ -12,6 +12,8 @@
 //     peak power, violations per budget window).
 //   - Merge: a deterministic cross-site merge of federated traces
 //     keyed by Event.Site.
+//   - Summary: stream-wide event counts per kind and the ranked
+//     blocked-on reasons of every admission attempt.
 //
 // The causality rule the chain queries rest on: the scheduler's
 // admission passes run inside completion and plan-edge events, so a
@@ -74,6 +76,8 @@ func Why(w io.Writer, evs []telemetry.Event, job int) error {
 		case telemetry.EvKill:
 			lifecycle = append(lifecycle, fmt.Sprintf("kill     t=%.3f lost=%.3fs (%s)",
 				float64(ev.T), float64(ev.Dur), ev.Reason))
+		case telemetry.EvCheckpoint:
+			lifecycle = append(lifecycle, fmt.Sprintf("checkpoint t=%.3f saved=%.1f%%", float64(ev.T), 100*ev.EE))
 		case telemetry.EvRestart:
 			lifecycle = append(lifecycle, fmt.Sprintf("restart  t=%.3f retry=%d from=%.0f%%",
 				float64(ev.T), ev.P, 100*ev.EE))
@@ -101,6 +105,52 @@ func Why(w io.Writer, evs []telemetry.Event, job int) error {
 	}
 	out.WriteString("causal admission chain:\n")
 	writeChain(&out, evs, job, arriveT)
+	_, err := io.WriteString(w, out.String())
+	return err
+}
+
+// Jobs returns the sorted IDs of every job the trace mentions.
+func Jobs(evs []telemetry.Event) []int {
+	seen := map[int]bool{}
+	var ids []int
+	for i := range evs {
+		if id := evs[i].Job; id != telemetry.NoJob && !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// Summary writes stream-wide totals: event counts per kind, blocked
+// reasons ranked by frequency, and the violation count — the ten-second
+// answer to "what did this run do".
+func Summary(w io.Writer, evs []telemetry.Event) error {
+	var counts [256]int // indexed by telemetry.Kind, printed in Kind order
+	reasons := map[string]int{}
+	for i := range evs {
+		counts[evs[i].Kind]++
+		if evs[i].Kind == telemetry.EvAttempt && evs[i].Reason != "" {
+			reasons[evs[i].Reason]++
+		}
+	}
+	var out strings.Builder
+	fmt.Fprintf(&out, "events: %d total\n", len(evs))
+	for k, c := range counts {
+		if c > 0 {
+			fmt.Fprintf(&out, "  %-10s %d\n", telemetry.Kind(k), c)
+		}
+	}
+	if len(reasons) > 0 {
+		out.WriteString("blocked-on (admission attempts):\n")
+		for _, e := range rankReasons(reasons) {
+			fmt.Fprintf(&out, "  %4dx %s\n", e.count, e.key)
+		}
+	}
+	if v := counts[telemetry.EvViolation]; v > 0 {
+		fmt.Fprintf(&out, "cap violations: %d\n", v)
+	}
 	_, err := io.WriteString(w, out.String())
 	return err
 }

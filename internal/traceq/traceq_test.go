@@ -2,6 +2,7 @@ package traceq
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,5 +174,101 @@ func TestMerge(t *testing.T) {
 	}
 	if len(evs) != 4 || evs[0].T > evs[1].T || evs[1].T > evs[2].T || evs[2].T > evs[3].T {
 		t.Fatalf("merged stream not time-ordered: %+v", evs)
+	}
+}
+
+// lifecycle is one job's full life through every job-scoped kind a
+// schedule emits, plus an unserviceable job, a reservation-only job,
+// and the stream-wide samples, retunes, edges and violations.
+func lifecycle() []telemetry.Event {
+	return []telemetry.Event{
+		{T: 0, Kind: telemetry.EvArrive, Job: 0, App: "FT", P: 4, Queue: 1},
+		{T: 0, Kind: telemetry.EvAdmit, Job: 0, App: "FT", Pool: "cpu", P: 4, Freq: 2.4e9, Watts: 400, EE: 0.9},
+		{T: 0.5, Kind: telemetry.EvRankRetune, Job: telemetry.NoJob, Rank: 1, FreqFrom: 2.4e9, Freq: 2.0e9},
+		{T: 1, Kind: telemetry.EvArrive, Job: 1, App: "EP", P: 64, Queue: 1},
+		{T: 1, Kind: telemetry.EvReject, Job: 1, App: "EP", Reason: "needs 64 ranks, platform has 8"},
+		{T: 1.5, Kind: telemetry.EvCheckpoint, Job: 0, App: "FT", EE: 0.25},
+		{T: 2, Kind: telemetry.EvPlanEdge, Job: telemetry.NoJob, Cap: 300, Reason: "pre-drop"},
+		{T: 2, Kind: telemetry.EvThrottle, Job: 0, App: "FT", FreqFrom: 2.4e9, Freq: 2.0e9,
+			WattsFrom: 400, Watts: 300, Reason: "cap step to 300W"},
+		{T: 2.5, Kind: telemetry.EvSample, Job: telemetry.NoJob, Power: 290, Cap: 300},
+		{T: 3, Kind: telemetry.EvViolation, Job: telemetry.NoJob, Power: 310, Cap: 300},
+		{T: 4, Kind: telemetry.EvReserve, Job: 2, At: 6, Dur: 3, Pool: "cpu", P: 2, Watts: 100},
+		{T: 6, Kind: telemetry.EvFinish, Job: 0, App: "FT", Pool: "cpu", P: 2, Dur: 6, Energy: 2000},
+	}
+}
+
+func TestWhyLifecycle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Why(&buf, lifecycle(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want := `job 0 (FT):
+  arrive   t=0.000
+  admit    t=0.000 pool=cpu p=4 f=2.40GHz wait=0.000s backfilled=false
+  checkpoint t=1.500 saved=25.0%
+  throttle t=2.000 2.40→2.00GHz (cap step to 300W)
+  finish   t=6.000 dur=6.000s energy=2000.0J retunes=2
+causal admission chain:
+  job 0 admitted at t=0.000 on arrival (no wait)
+`
+	if buf.String() != want {
+		t.Fatalf("why 0:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	buf.Reset()
+	if err := Why(&buf, lifecycle(), 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"job 1 (EP):", "reject   t=1.000 (needs 64 ranks, platform has 8)", "job 1 was never admitted"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("why 1 misses %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+func TestJobs(t *testing.T) {
+	if got := Jobs(lifecycle()); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("Jobs = %v, want [0 1 2]", got)
+	}
+	if got := Jobs(nil); len(got) != 0 {
+		t.Fatalf("Jobs(nil) = %v", got)
+	}
+}
+
+func TestSummary(t *testing.T) {
+	evs := append(lifecycle(), synthetic()...)
+	var buf bytes.Buffer
+	if err := Summary(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	// Kinds print in taxonomy order, reasons by count then name, and
+	// the violation line only when the stream has one.
+	want := `events: 21 total
+  arrive     4
+  attempt    3
+  admit      3
+  reject     1
+  finish     3
+  reserve    1
+  throttle   1
+  retune     1
+  plan-edge  1
+  sample     1
+  violation  1
+  checkpoint 1
+blocked-on (admission attempts):
+     2x watts: over budget
+     1x ranks: full
+cap violations: 1
+`
+	if buf.String() != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	buf.Reset()
+	if err := Summary(&buf, synthetic()); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "cap violations") {
+		t.Fatalf("violation-free stream reports violations:\n%s", buf.String())
 	}
 }
